@@ -37,7 +37,7 @@ type Calibration = core.Calibration
 type CalibrationOptions = core.CalibrationOptions
 
 // CalibrationMode selects how Calibrate fits the rate model
-// (CalibrationOptions.Mode).
+// (CalibrationOptions.Mode): ModelScan (the default) or ProbeLadder.
 type CalibrationMode = core.CalibrationMode
 
 const (
@@ -46,9 +46,6 @@ const (
 	// breach falls back to ProbeLadder per field, recorded on the
 	// Calibration.
 	ModelScan CalibrationMode = core.ModelScan
-	// ProbeValidated runs the full probe ladder and reports the scan
-	// model's out-of-sample residual alongside it.
-	ProbeValidated CalibrationMode = core.ProbeValidated
 	// ProbeLadder is the original measure-everything calibration.
 	ProbeLadder CalibrationMode = core.ProbeLadder
 )

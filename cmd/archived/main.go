@@ -2,8 +2,8 @@
 // max-rate v3 stream per snapshot on disk, any lower rate synthesized per
 // request by bit-prefix splicing (never recompression), with a
 // byte-budgeted representation cache, strong ETags for CDN revalidation,
-// and HTTP Range support. SZ fields are served as decode-side coarsened
-// previews.
+// and HTTP Range support. SZ fields are not rate-sliceable and are served
+// as their stored bytes.
 //
 // Usage:
 //
@@ -24,7 +24,6 @@
 //	GET /v1/archive/{stream}/manifest             steps, fields, rate rungs
 //	GET /v1/archive/{stream}/{step}/{field}       stored bytes (v2 archive)
 //	    ?rate=R                                   spliced to R bits/value
-//	    ?preview=N                                sz preview (raw field wire)
 //	GET /v1/stats                                 cache + per-tier counters
 //
 // On SIGTERM/SIGINT the listener stops accepting, in-flight responses
@@ -62,7 +61,7 @@ func main() {
 		dim     = flag.Int("dim", 32, "field edge length (with -gen)")
 		rate    = flag.Float64("rate", 16, "stored ZFP rate with -gen; target rate with -splice")
 		nFields = flag.Int("fields", 2, "ZFP fields per step (with -gen, max 6)")
-		szField = flag.String("sz-field", "", "also archive this field as SZ for previews (with -gen)")
+		szField = flag.String("sz-field", "", "also archive this field as SZ, served as stored bytes (with -gen)")
 		eb      = flag.Float64("eb", 1e-3, "SZ absolute error bound for -sz-field (with -gen)")
 		seed    = flag.Uint64("seed", 7, "synthetic universe seed (with -gen)")
 
@@ -152,7 +151,7 @@ func runGen(dir, stream string, steps, dim int, rate float64, nFields int, szFie
 			step[name] = adaptive.ArchiveFieldSpec{Field: fields[name]}
 		}
 		if szField != "" {
-			step[szField+"_preview"] = adaptive.ArchiveFieldSpec{
+			step[szField+"_sz"] = adaptive.ArchiveFieldSpec{
 				Field: fields[szField], Codec: "sz", ErrorBound: eb,
 			}
 		}
@@ -200,8 +199,8 @@ func runServe(dir, addr string, cacheBytes int64) error {
 			return err
 		}
 		st := srv.Stats()
-		log.Printf("served: cache %d hits / %d misses / %d evictions, %d splices, %d preview decodes",
-			st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Splices, st.PreviewDecodes)
+		log.Printf("served: cache %d hits / %d misses / %d evictions, %d splices",
+			st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Splices)
 		return nil
 	}
 }

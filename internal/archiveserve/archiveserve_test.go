@@ -2,6 +2,7 @@ package archiveserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +19,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/server"
-	"repro/internal/sz"
 	"repro/internal/zfp"
 )
 
@@ -182,12 +181,8 @@ func TestServedRateIsByteIdenticalToLocalSplice(t *testing.T) {
 func TestFullFetchServesStoredBytes(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestStream(t, dir, "run1", 2, 12)
-	_, ts := newTestServer(t, dir)
+	srv, ts := newTestServer(t, dir)
 
-	resp, body := get(t, ts.URL+"/v1/archive/run1/1/rho", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -202,9 +197,37 @@ func TestFullFetchServesStoredBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fields["rho"].Bytes(); !bytes.Equal(body, want) {
-		t.Fatalf("full fetch differs from stored archive (%d vs %d bytes)", len(body), len(want))
+	// Both codecs serve their stored bytes on the full tier; for the sz
+	// field that is its only representation.
+	served := map[string][]byte{}
+	for _, name := range []string{"rho", "temp"} {
+		resp, body := get(t, ts.URL+"/v1/archive/run1/1/"+name, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, resp.StatusCode)
+		}
+		if want := fields[name].Bytes(); !bytes.Equal(body, want) {
+			t.Fatalf("%s: full fetch differs from stored archive (%d vs %d bytes)", name, len(body), len(want))
+		}
+		served[name] = body
 	}
+	if st := srv.Stats(); st.Tiers[TierFull].Requests != 2 || st.Splices != 0 {
+		t.Fatalf("full tier %+v, %d splices; want 2 requests, no splice", st.Tiers[TierFull], st.Splices)
+	}
+	// The served sz bytes keep the archived error bound in every cell.
+	cf, err := core.ParseCompressedField(served["temp"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := cf.Decompress(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range testField(16, 101).Data {
+		if d := math.Abs(float64(dec.Data[i]) - float64(v)); d > 1e-3 {
+			t.Fatalf("temp cell %d: |%v - %v| = %g exceeds the 1e-3 bound", i, dec.Data[i], v, d)
+		}
+	}
+	body := served["rho"]
 	// A rate at or above the stored rate negotiates down to the same bytes.
 	resp2, body2 := get(t, ts.URL+"/v1/archive/run1/1/rho?rate=32", nil)
 	if resp2.StatusCode != http.StatusOK || !bytes.Equal(body2, body) {
@@ -358,7 +381,7 @@ func TestManifestRungSizesAreExact(t *testing.T) {
 	if !rho.Progressive || rho.MaxRate != 16 || rho.Codec != string(codec.ZFP) {
 		t.Fatalf("rho manifest %+v", rho)
 	}
-	if !temp.Preview || temp.Codec != string(codec.SZ) || temp.Progressive {
+	if temp.Codec != string(codec.SZ) || temp.Progressive || len(temp.Rungs) != 0 {
 		t.Fatalf("temp manifest %+v", temp)
 	}
 	// Every advertised rung size must equal the actual spliced body length.
@@ -381,66 +404,6 @@ func TestManifestRungSizesAreExact(t *testing.T) {
 	}
 }
 
-func TestPreviewRungMatchesLocalPreviewDecode(t *testing.T) {
-	dir := t.TempDir()
-	path := writeTestStream(t, dir, "run1", 1, 16)
-	srv, ts := newTestServer(t, dir)
-
-	resp, body := get(t, ts.URL+"/v1/archive/run1/0/temp?preview=2", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("preview: status %d (%s)", resp.StatusCode, body)
-	}
-	got, err := server.DecodeField(body, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Nx != 16 || got.Ny != 16 || got.Nz != 16 {
-		t.Fatalf("preview dims %d×%d×%d", got.Nx, got.Ny, got.Nz)
-	}
-	// Reproduce locally: decode each stored sz partition at 2 octaves.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	fi, _ := f.Stat()
-	sr, err := core.OpenStream(f, fi.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fields, err := sr.ReadStep(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf := fields["temp"]
-	p, err := grid.NewPartitioner(cf.Nx, cf.Ny, cf.Nz, cf.Nx/cf.PartitionDim, cf.Ny/cf.PartitionDim, cf.Nz/cf.PartitionDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := grid.NewField3D(cf.Nx, cf.Ny, cf.Nz)
-	for i, part := range cf.Parts {
-		c, err := sz.Parse(part.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		brick, _, err := sz.DecompressPreview(c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := grid.Insert(want, p.Partition(i), brick.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("preview cell %d: served %v, local %v", i, got.Data[i], want.Data[i])
-		}
-	}
-	if srv.Stats().PreviewDecodes != 1 {
-		t.Fatalf("preview decodes %d, want 1", srv.Stats().PreviewDecodes)
-	}
-}
-
 func TestErrorMapping(t *testing.T) {
 	dir := t.TempDir()
 	writeTestStream(t, dir, "run1", 1, 16)
@@ -458,14 +421,16 @@ func TestErrorMapping(t *testing.T) {
 		{"bad rate", "/v1/archive/run1/0/rho?rate=NaN", http.StatusBadRequest},
 		{"negative rate", "/v1/archive/run1/0/rho?rate=-3", http.StatusBadRequest},
 		{"rate on sz field", "/v1/archive/run1/0/temp?rate=4", http.StatusBadRequest},
-		{"preview on zfp field", "/v1/archive/run1/0/rho?preview=2", http.StatusBadRequest},
-		{"rate and preview", "/v1/archive/run1/0/rho?rate=4&preview=2", http.StatusBadRequest},
-		{"bad preview", "/v1/archive/run1/0/temp?preview=0", http.StatusBadRequest},
+		{"unknown parameter", "/v1/archive/run1/0/rho?rat=4", http.StatusBadRequest},
+		{"retired parameter", "/v1/archive/run1/0/temp?preview=2", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := get(t, ts.URL+tc.url, nil)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
+		}
+		if tc.status == http.StatusBadRequest && !bytes.Contains(body, []byte(`"bad_config"`)) {
+			t.Errorf("%s: 400 without the bad_config code (%s)", tc.name, body)
 		}
 	}
 }

@@ -35,7 +35,7 @@ type FieldSpec struct {
 	Field *grid.Field3D
 	// Codec picks the archived representation: ZFP (default) stores the
 	// progressive max-rate stream, SZ stores an error-bounded stream
-	// servable as a coarsened preview.
+	// served as its stored bytes (no rate slicing).
 	Codec codec.ID
 	// ErrorBound is the SZ pointwise ABS bound (ignored for ZFP).
 	ErrorBound float64

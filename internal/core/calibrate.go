@@ -26,12 +26,6 @@ const (
 	// Falls back to ProbeLadder for a field whose cross-sample model
 	// residual breaches the guard band (Calibration.FellBack records it).
 	ModelScan CalibrationMode = iota
-	// ProbeValidated measures the full probe ladder (identical curves and
-	// fit to ProbeLadder) and *additionally* runs the feature scan,
-	// anchoring the model mid-grid and recording its out-of-sample residual
-	// against the measured points — the opt-in mode that keeps the model
-	// continuously checked while paying the ladder's cost.
-	ProbeValidated
 	// ProbeLadder compresses every sampled partition at every grid bound —
 	// the original, purely empirical calibration.
 	ProbeLadder
@@ -41,8 +35,6 @@ func (m CalibrationMode) String() string {
 	switch m {
 	case ModelScan:
 		return "model-scan"
-	case ProbeValidated:
-		return "probe-validated"
 	case ProbeLadder:
 		return "probe-ladder"
 	default:
@@ -143,8 +135,7 @@ const residualFloorBits = 0.51
 // curves are synthesized by the ratio-quality model (arXiv 2111.09815) and
 // cross-checked against the validation points, falling back to the probe
 // ladder when the check breaches CalibrationOptions.GuardBand. ProbeLadder
-// restores the original measure-everything behavior; ProbeValidated does
-// both and reports the model's out-of-sample residual. Cancellation is
+// restores the original measure-everything behavior. Cancellation is
 // checked between sample compressions.
 func (e *Engine) Calibrate(ctx context.Context, f *grid.Field3D, opts ...CalibrationOptions) (*Calibration, error) {
 	var o CalibrationOptions
@@ -208,10 +199,7 @@ func (e *Engine) Calibrate(ctx context.Context, f *grid.Field3D, opts ...Calibra
 	}
 	var fellBack bool
 	var residual float64
-	switch mode {
-	case ProbeValidated:
-		return e.probeValidated(ctx, f, p, features, samples, ebs, scratch)
-	case ModelScan:
+	if mode == ModelScan {
 		cal, res, err := e.modelScanCalibration(ctx, f, p, features, samples, ebs, o.GuardBand, scratch)
 		if err != nil {
 			return nil, err
@@ -370,49 +358,6 @@ func (e *Engine) modelScanCalibration(ctx context.Context, f *grid.Field3D, p *g
 		RQ:           rqs,
 		Residual:     res,
 	}, res, nil
-}
-
-// probeValidated measures the ladder exactly like probeCalibration and
-// additionally scans each sample, anchoring its ratio-quality model at the
-// mid-grid measured point and scoring the model against every *other*
-// measured point — a true out-of-sample residual, recorded for online
-// monitoring.
-func (e *Engine) probeValidated(ctx context.Context, f *grid.Field3D, p *grid.Partitioner,
-	features []float64, samples []int, ebs []float64, scratch *codec.Scratch) (*Calibration, error) {
-	cal, err := e.probeCalibration(ctx, f, p, features, samples, ebs, scratch)
-	if err != nil {
-		return nil, err
-	}
-	parts := p.Partitions()
-	mid := len(ebs) / 2
-	var scan stats.PredScan
-	rqs := make([]*model.RQModel, len(cal.PartitionIDs))
-	var rs []float64
-	for i, pi := range cal.PartitionIDs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: calibration: %w", err)
-		}
-		part := parts[pi]
-		data := e.brick(scratch, f, part)
-		nx, ny, nz := part.Dims()
-		rq, err := e.scanModel(data, nx, ny, nz, &scan)
-		if err != nil {
-			return nil, err
-		}
-		rates := cal.Curves[i].BitRates
-		rq.Anchor(ebs[mid], rates[mid])
-		rqs[i] = rq
-		for j := range ebs {
-			if j == mid || rates[j] < residualFloorBits {
-				continue
-			}
-			rs = append(rs, rq.LogResidual(ebs[j], rates[j]))
-		}
-	}
-	cal.Mode = ProbeValidated
-	cal.RQ = rqs
-	cal.Residual = medianOf(rs)
-	return cal, nil
 }
 
 // scanModel builds an unanchored ratio-quality model for one brick from a

@@ -141,26 +141,6 @@ func TestCalibrateGuardBandFallback(t *testing.T) {
 	}
 }
 
-// TestCalibrateProbeValidated: the opt-in mode keeps the probe ladder as
-// ground truth and reports the scan model's out-of-sample residual.
-func TestCalibrateProbeValidated(t *testing.T) {
-	f := field(t, nyx.FieldTemperature)
-	e := engine(t, Config{PartitionDim: 16})
-	cal, err := e.Calibrate(context.Background(), f, CalibrationOptions{Mode: ProbeValidated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Mode != ProbeValidated || cal.FellBack {
-		t.Fatalf("mode %v fellBack %v, want probe-validated without fallback", cal.Mode, cal.FellBack)
-	}
-	if len(cal.RQ) != len(cal.PartitionIDs) {
-		t.Errorf("%d scan models for %d samples", len(cal.RQ), len(cal.PartitionIDs))
-	}
-	if cal.Residual <= 0 || cal.Residual > 0.5 {
-		t.Errorf("out-of-sample residual %g, want in (0, 0.5] on a smooth field", cal.Residual)
-	}
-}
-
 // TestCalibrateSingleSampleRequest is the regression for the quantile
 // divide-by-zero: asking for one sample partition used to compute
 // idx[i*(len-1)/(nSamp-1)] with nSamp==1. It must instead take the median
@@ -184,7 +164,6 @@ func TestCalibrateSingleSampleRequest(t *testing.T) {
 func TestCalibrationModeStrings(t *testing.T) {
 	for mode, want := range map[CalibrationMode]string{
 		ModelScan:           "model-scan",
-		ProbeValidated:      "probe-validated",
 		ProbeLadder:         "probe-ladder",
 		CalibrationMode(42): "CalibrationMode(42)",
 	} {

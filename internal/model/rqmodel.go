@@ -135,16 +135,6 @@ func (m *RQModel) BitRate(eb float64) float64 {
 	return prior * (m.AnchorBits / ref)
 }
 
-// LogResidual is |ln(observed/predicted)| at one observed point — the
-// quantity calibration checks against its guard band.
-func (m *RQModel) LogResidual(eb, observedBits float64) float64 {
-	pred := m.BitRate(eb)
-	if pred <= 0 || observedBits <= 0 {
-		return 0
-	}
-	return math.Abs(math.Log(observedBits / pred))
-}
-
 // PredictMaxError returns the pointwise error the codec will honor at this
 // bound (the compressor guarantees ≤ eb; rate-searched transform codecs
 // meet it best-effort).

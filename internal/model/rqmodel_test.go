@@ -79,15 +79,6 @@ func TestRQPredictionAnchorScalesCurve(t *testing.T) {
 	if got, want := m.BitRate(other), 2*m.PriorBitRate(other); math.Abs(got-want) > 1e-9 {
 		t.Errorf("BitRate(%g) = %g, want scaled prior %g", other, got, want)
 	}
-	if r := m.LogResidual(eb, 2*prior); r > 1e-9 {
-		t.Errorf("residual at the anchor point is %g, want 0", r)
-	}
-	if r := m.LogResidual(eb, 2*prior*math.E); math.Abs(r-1) > 1e-9 {
-		t.Errorf("e×-off observation has residual %g, want 1", r)
-	}
-	if r := m.LogResidual(eb, 0); r != 0 {
-		t.Errorf("degenerate observation residual %g, want 0", r)
-	}
 }
 
 func TestRQTransformModel(t *testing.T) {

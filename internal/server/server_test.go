@@ -113,6 +113,9 @@ func TestWireRejectsHostilePayloads(t *testing.T) {
 		"truncated body": good[:len(good)-4],
 		"trailing bytes": append(append([]byte(nil), good...), 0),
 		"zero dim":       append(make([]byte, 12), good[12:]...),
+		// 2²²·2²¹·2²¹ = 2⁶⁴ cells wraps int64 to zero, so a bare 12-byte
+		// header would match the length check.
+		"overflowing dims": {0, 0, 0x40, 0, 0, 0, 0x20, 0, 0, 0, 0x20, 0},
 	}
 	for name, data := range cases {
 		if _, err := DecodeField(data, 1<<24); !errors.Is(err, apierr.ErrBadConfig) {

@@ -44,11 +44,14 @@ func DecodeField(data []byte, maxCells int64) (*grid.Field3D, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("server: %w: non-positive field dims %d×%d×%d", apierr.ErrBadConfig, nx, ny, nz)
 	}
-	cells := int64(nx) * int64(ny) * int64(nz)
-	if cells > maxCells {
-		return nil, fmt.Errorf("server: %w: field %d×%d×%d has %d cells, limit %d",
-			apierr.ErrBadConfig, nx, ny, nz, cells, maxCells)
+	// Bound the cell count a factor at a time: three dims of up to 2³²−1
+	// overflow int64, and a product that wraps to a small count would pass
+	// the length check below with a field whose dims disagree with its data.
+	if int64(nx) > maxCells || int64(ny) > maxCells/int64(nx) || int64(nz) > maxCells/(int64(nx)*int64(ny)) {
+		return nil, fmt.Errorf("server: %w: field %d×%d×%d exceeds the %d-cell limit",
+			apierr.ErrBadConfig, nx, ny, nz, maxCells)
 	}
+	cells := int64(nx) * int64(ny) * int64(nz)
 	if want := int64(fieldWireHeader) + 4*cells; int64(len(data)) != want {
 		return nil, fmt.Errorf("server: %w: field %d×%d×%d needs %d bytes, got %d",
 			apierr.ErrBadConfig, nx, ny, nz, want, len(data))
