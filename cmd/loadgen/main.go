@@ -2,8 +2,7 @@
 // concurrent clients posting Nyx-like fields for compression over h2c,
 // measuring throughput (field-steps/sec), latency percentiles, and the
 // backpressure/adaptation behavior (429 counts, final rate level). It is
-// both the benchmark harness behind BENCH_PR7.json and the CI smoke test
-// for the service.
+// the CI smoke test for the service; perfbench is the benchmark.
 //
 // Each worker drives an adaptive.Client, so refused requests back off the
 // way a real client would — capped exponential backoff with full jitter,
@@ -15,8 +14,7 @@
 // Usage:
 //
 //	loadgen -url http://127.0.0.1:8323 -clients 1000 -duration 10s \
-//	        [-dim 32] [-fields 4] [-tenants 8] [-retries 4] [-label adapt-on] \
-//	        [-json BENCH_PR7.json] [-max-p99 2s]
+//	        [-dim 32] [-fields 4] [-tenants 8] [-retries 4] [-max-p99 2s]
 //
 // With -mode read it instead drives an archived server with an archive
 // browse workload: steps are drawn from a Zipf distribution (hot recent
@@ -28,25 +26,21 @@
 //
 //	loadgen -mode read -url http://127.0.0.1:8324 -stream demo \
 //	        -clients 64 -duration 10s [-browse-rate 4] [-analysis-rate 0] \
-//	        [-browse-frac 0.8] [-zipf-s 1.3] [-json BENCH_PR10.json]
+//	        [-browse-frac 0.8] [-zipf-s 1.3]
 //
-// With -json the results merge into the named file under -label (same
-// shape as the BENCH_PR*.json trajectory files: a "runs" map keyed by
-// label). With -max-p99 the command exits non-zero when the successful
-// requests' p99 exceeds the bound — the CI gate.
+// In either mode the command exits non-zero when no request succeeded,
+// and with -max-p99 also when the successful requests' p99 exceeds the
+// bound — the CI gates.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -75,8 +69,6 @@ func main() {
 		seed     = flag.Uint64("seed", 7, "synthetic universe seed")
 		conns    = flag.Int("conns", 16, "h2c connections to spread clients over (each multiplexes ~250 streams)")
 		retries  = flag.Int("retries", 4, "max attempts per request (1 = no retries)")
-		label    = flag.String("label", "", "label for the JSON report entry")
-		jsonPath = flag.String("json", "", "merge results into this BENCH-style JSON file")
 		maxP99   = flag.Duration("max-p99", 0, "exit non-zero when the success p99 exceeds this (0 = no gate)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-attempt timeout")
 
@@ -90,12 +82,14 @@ func main() {
 	flag.Parse()
 
 	if *mode == "read" {
-		runRead(readConfig{
+		if _, err := runRead(readConfig{
 			url: *url, clients: *clients, duration: *duration, conns: *conns,
-			retries: *retries, timeout: *timeout, label: *label, jsonPath: *jsonPath,
+			retries: *retries, timeout: *timeout,
 			maxP99: *maxP99, stream: *stream, browseRate: *browseRate,
 			analysisRate: *analyRate, browseFrac: *browseFrac, zipfS: *zipfS, seed: *seed,
-		})
+		}); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -223,47 +217,27 @@ func main() {
 	log.Printf("latency p50 %v p99 %v; aggregate ratio %.2fx; max rate level seen %d",
 		p50.Round(time.Microsecond), p99.Round(time.Microsecond), ratio, total.maxLevel)
 
-	if *jsonPath != "" {
-		if *label == "" {
-			log.Fatal("-json requires -label")
-		}
-		entry := map[string]any{
-			"recorded_at":     time.Now().UTC().Format(time.RFC3339),
-			"goos":            runtime.GOOS,
-			"goarch":          runtime.GOARCH,
-			"clients":         *clients,
-			"tenants":         *tenants,
-			"field_dim":       *dim,
-			"duration_sec":    elapsed.Seconds(),
-			"ok":              total.ok,
-			"rejected":        total.rejected,
-			"circuit_open":    total.circuit,
-			"failed":          total.failed,
-			"attempts":        ctr.Attempts,
-			"retries":         ctr.Retries,
-			"rejections_seen": ctr.Rejected,
-			"steps_per_sec":   stepsPerSec,
-			"latency_p50_ms":  float64(p50) / float64(time.Millisecond),
-			"latency_p99_ms":  float64(p99) / float64(time.Millisecond),
-			"compress_ratio":  ratio,
-			"max_rate_level":  total.maxLevel,
-		}
-		if err := mergeJSON(*jsonPath, *label, entry); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("merged run %q into %s", *label, *jsonPath)
+	if err := gate(total.ok, p99, *maxP99); err != nil {
+		log.Fatal(err)
 	}
+}
 
-	if *maxP99 > 0 && (total.ok == 0 || p99 > *maxP99) {
-		log.Fatalf("p99 %v exceeds the %v gate (or nothing succeeded)", p99, *maxP99)
+// gate fails a run in which no request succeeded or, with maxP99 > 0,
+// whose successful requests' p99 exceeds maxP99.
+func gate(ok uint64, p99, maxP99 time.Duration) error {
+	if ok == 0 {
+		return errors.New("no request succeeded")
 	}
+	if maxP99 > 0 && p99 > maxP99 {
+		return fmt.Errorf("p99 %v exceeds the %v gate", p99, maxP99)
+	}
+	return nil
 }
 
 type readConfig struct {
 	url                      string
 	clients, conns, retries  int
 	duration, timeout        time.Duration
-	label, jsonPath          string
 	maxP99                   time.Duration
 	stream                   string
 	browseRate, analysisRate float64
@@ -278,16 +252,16 @@ type readResult struct {
 }
 
 // runRead drives an archived server with a Zipf browse/analysis mix and
-// per-client revalidation, then reports read throughput and cache
-// behavior.
-func runRead(cfg readConfig) {
+// per-client revalidation, reports read throughput and cache behavior,
+// and returns the run's totals with gate's verdict on them.
+func runRead(cfg readConfig) (readResult, error) {
 	probe, err := adaptive.NewClient(cfg.url, adaptive.WithRetries(cfg.retries, 0, 0))
 	if err != nil {
-		log.Fatal(err)
+		return readResult{}, err
 	}
 	m, err := probe.FetchManifest(context.Background(), cfg.stream)
 	if err != nil {
-		log.Fatalf("manifest for %q: %v", cfg.stream, err)
+		return readResult{}, fmt.Errorf("manifest for %q: %w", cfg.stream, err)
 	}
 	var zfpFields []string
 	for _, f := range m.Fields {
@@ -296,7 +270,7 @@ func runRead(cfg readConfig) {
 		}
 	}
 	if len(zfpFields) == 0 {
-		log.Fatalf("stream %q has no progressive fields to browse", cfg.stream)
+		return readResult{}, fmt.Errorf("stream %q has no progressive fields to browse", cfg.stream)
 	}
 	if cfg.conns < 1 {
 		cfg.conns = 1
@@ -386,7 +360,7 @@ func runRead(cfg readConfig) {
 
 	st, err := probe.ArchiveStats(context.Background())
 	if err != nil {
-		log.Fatalf("archive stats: %v", err)
+		return total, fmt.Errorf("archive stats: %w", err)
 	}
 	hitRatio := 0.0
 	if lookups := st.Cache.Hits + st.Cache.Misses; lookups > 0 {
@@ -399,59 +373,5 @@ func runRead(cfg readConfig) {
 	log.Printf("latency p50 %v p99 %v; %.1f MiB served",
 		p50.Round(time.Microsecond), p99.Round(time.Microsecond), float64(total.bytesIn)/(1<<20))
 
-	if cfg.jsonPath != "" {
-		if cfg.label == "" {
-			log.Fatal("-json requires -label")
-		}
-		entry := map[string]any{
-			"recorded_at":     time.Now().UTC().Format(time.RFC3339),
-			"goos":            runtime.GOOS,
-			"goarch":          runtime.GOARCH,
-			"mode":            "read",
-			"clients":         cfg.clients,
-			"stream_steps":    m.Steps,
-			"duration_sec":    elapsed.Seconds(),
-			"ok":              total.ok,
-			"not_modified":    total.notModified,
-			"failed":          total.failed,
-			"steps_per_sec":   stepsPerSec,
-			"cache_hit_ratio": hitRatio,
-			"splices":         st.Splices,
-			"latency_p50_ms":  float64(p50) / float64(time.Millisecond),
-			"latency_p99_ms":  float64(p99) / float64(time.Millisecond),
-			"bytes_served":    total.bytesIn,
-		}
-		if err := mergeJSON(cfg.jsonPath, cfg.label, entry); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("merged run %q into %s", cfg.label, cfg.jsonPath)
-	}
-	if cfg.maxP99 > 0 && (total.ok == 0 || p99 > cfg.maxP99) {
-		log.Fatalf("p99 %v exceeds the %v gate (or nothing succeeded)", p99, cfg.maxP99)
-	}
-}
-
-// mergeJSON upserts runs[label] in a BENCH-style trajectory file.
-func mergeJSON(path, label string, entry map[string]any) error {
-	doc := map[string]any{
-		"description": "adaptived service load benchmark (cmd/loadgen); steps/sec and latencies are machine-dependent, compare labels from the same machine only.",
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	runs, _ := doc["runs"].(map[string]any)
-	if runs == nil {
-		runs = make(map[string]any)
-	}
-	runs[label] = entry
-	doc["runs"] = runs
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return total, gate(total.ok, p99, cfg.maxP99)
 }

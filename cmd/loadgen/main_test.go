@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"net"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,7 +11,7 @@ import (
 
 // TestReadModeEndToEnd drives runRead against a real archive server:
 // write a two-step stream, serve it over h2c, run a short Zipf read
-// burst, and check the merged benchmark JSON.
+// burst, and check its totals and the exit gates.
 func TestReadModeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	w, err := adaptive.NewArchiveWriter(filepath.Join(dir, "demo"+adaptive.ArchiveStreamSuffix),
@@ -51,47 +49,30 @@ func TestReadModeEndToEnd(t *testing.T) {
 	go hs.Serve(l)
 	defer hs.Close()
 
-	jsonPath := filepath.Join(dir, "bench.json")
-	runRead(readConfig{
+	total, err := runRead(readConfig{
 		url:     "http://" + l.Addr().String(),
 		clients: 4, conns: 2, retries: 1,
 		duration: 400 * time.Millisecond, timeout: 5 * time.Second,
-		label: "test", jsonPath: jsonPath, maxP99: time.Minute,
+		maxP99: time.Minute,
 		stream: "demo", browseRate: 2, analysisRate: 0,
 		browseFrac: 0.7, zipfS: 1.3, seed: 1,
 	})
-
-	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Runs map[string]struct {
-			OK           uint64  `json:"ok"`
-			Failed       uint64  `json:"failed"`
-			StepsPerSec  float64 `json:"steps_per_sec"`
-			HitRatio     float64 `json:"cache_hit_ratio"`
-			NotModified  uint64  `json:"not_modified"`
-			LatencyP99MS float64 `json:"latency_p99_ms"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	run, ok := doc.Runs["test"]
-	if !ok {
-		t.Fatalf("bench JSON has no run %q: %s", "test", data)
-	}
-	if run.OK == 0 || run.Failed != 0 || run.StepsPerSec <= 0 {
-		t.Fatalf("read burst results: %+v", run)
+	if total.ok == 0 || total.failed != 0 {
+		t.Fatalf("read burst: %d ok, %d failed", total.ok, total.failed)
 	}
 
-	// mergeJSON refuses to clobber a file that is not a bench document.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
+	// The gates: a run with no success fails whatever -max-p99 says, and
+	// a latency bound applies only when set.
+	if err := gate(0, 0, 0); err == nil {
+		t.Fatal("gate passed a run with no successful request")
 	}
-	if err := mergeJSON(bad, "x", map[string]any{}); err == nil {
-		t.Fatal("mergeJSON over a non-JSON file should fail")
+	if err := gate(1, time.Second, time.Millisecond); err == nil {
+		t.Fatal("gate passed a p99 above the bound")
+	}
+	if err := gate(1, time.Second, 0); err != nil {
+		t.Fatalf("gate without a latency bound: %v", err)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/apierr"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/server"
 )
@@ -35,8 +34,6 @@ type Config struct {
 	Dir string
 	// CacheBytes bounds the representation cache (default 256 MiB).
 	CacheBytes int64
-	// Registry resolves codec frames (default codec.Default).
-	Registry *codec.Registry
 }
 
 // Tier names requests by the quality rung they land on; /v1/stats reports
@@ -84,7 +81,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 256 << 20
 	}
-	store, err := OpenStore(cfg.Dir, cfg.Registry)
+	store, err := OpenStore(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +272,7 @@ func (s *Server) resolveVariant(r *http.Request, str *stream, step int, fl *core
 	if err != nil || math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0 {
 		return nil, fmt.Errorf("archiveserve: %w: rate %q, need a positive finite bits/value", apierr.ErrBadConfig, rateStr)
 	}
-	maxRate, err := str.fieldMaxRate(fl.Name)
+	maxRate, err := str.fieldMaxRate(step, fl)
 	if err != nil {
 		return nil, err
 	}

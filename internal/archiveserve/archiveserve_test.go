@@ -404,6 +404,103 @@ func TestManifestRungSizesAreExact(t *testing.T) {
 	}
 }
 
+// TestMixedRateFieldServesEachPartitionAtItsCeiling serves a ZFP field
+// whose partitions were stored at different rates, as the engine's
+// adaptive plan produces them: the manifest and every ?rate up to the
+// highest stored rate must work, each partition is served at min(R, its
+// stored rate), and the served body equals SpliceArchive of the stored
+// bytes.
+func TestMixedRateFieldServesEachPartitionAtItsCeiling(t *testing.T) {
+	e, err := core.NewEngine(core.Config{Codec: codec.ZFP, PartitionDim: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &core.Plan{EBs: []float64{1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5, 3e-1, 1e-6}}
+	cf, err := e.CompressAdaptive(context.Background(), testField(16, 0), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "mixed"+StreamSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := core.NewStreamWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteStep(map[string]*core.CompressedField{"rho": cf}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stored := cf.Bytes()
+	rates := make([]float64, len(cf.Parts))
+	maxRate := 0.0
+	for p, part := range cf.Parts {
+		c, err := zfp.Parse(part.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates[p] = c.Rate
+		maxRate = max(maxRate, c.Rate)
+	}
+	_, ts := newTestServer(t, dir)
+
+	resp, body := get(t, ts.URL+"/v1/archive/mixed/manifest", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("manifest: status %d (%s)", resp.StatusCode, body)
+	}
+	var m Manifest
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Fields) != 1 || !m.Fields[0].Progressive || m.Fields[0].MaxRate != maxRate || len(m.Fields[0].Rungs) == 0 {
+		t.Fatalf("manifest %+v, want one progressive field with max rate %g (stored rates %v)", m.Fields, maxRate, rates)
+	}
+	for _, rung := range m.Fields[0].Rungs {
+		resp, body := get(t, fmt.Sprintf("%s/v1/archive/mixed/0/rho?rate=%g", ts.URL, rung.Rate), nil)
+		if resp.StatusCode != http.StatusOK || int64(len(body)) != rung.Bytes {
+			t.Fatalf("rung %g: status %d, %d bytes served, %d predicted", rung.Rate, resp.StatusCode, len(body), rung.Bytes)
+		}
+	}
+
+	const rate = 4
+	resp, body = get(t, fmt.Sprintf("%s/v1/archive/mixed/0/rho?rate=%d", ts.URL, rate), nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rate %d: status %d (%s)", rate, resp.StatusCode, body)
+	}
+	want, err := SpliceArchive(stored, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("rate %d: served body differs from SpliceArchive(stored)", rate)
+	}
+	served, err := core.ParseCompressedField(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below, above := 0, 0
+	for p, part := range served.Parts {
+		if rates[p] > rate {
+			above++
+			continue
+		}
+		below++
+		if !bytes.Equal(part.Bytes(), cf.Parts[p].Bytes()) {
+			t.Fatalf("partition %d stored at rate %g changed when served at rate %d", p, rates[p], rate)
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("stored rates %v do not straddle rate %d", rates, rate)
+	}
+}
+
 func TestErrorMapping(t *testing.T) {
 	dir := t.TempDir()
 	writeTestStream(t, dir, "run1", 1, 16)

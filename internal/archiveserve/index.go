@@ -186,22 +186,12 @@ func parseSidecar(data []byte) (*sidecar, error) {
 	return sc, nil
 }
 
-// footerRegionCRC checksums a v3 stream's footer region [indexOff, size)
-// — the sidecar's binding to one exact stream. The caller must have
-// validated the stream with core.OpenStream already; this re-reads only
-// the trailer to locate the index.
-func footerRegionCRC(r io.ReaderAt, size int64) (uint32, error) {
-	const trailerBytes = 16
-	var trailer [trailerBytes]byte
-	if _, err := r.ReadAt(trailer[:], size-trailerBytes); err != nil {
-		return 0, fmt.Errorf("archiveserve: stream trailer: %w", err)
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(trailer[4:12]))
-	if indexOff < 0 || indexOff > size-trailerBytes {
-		return 0, fmt.Errorf("archiveserve: %w: footer offset %d outside stream", apierr.ErrCorruptArchive, indexOff)
-	}
-	buf := make([]byte, size-indexOff)
-	if _, err := r.ReadAt(buf, indexOff); err != nil {
+// footerRegionCRC checksums a v3 stream's footer region [footerOff, size)
+// — the sidecar's binding to one exact stream. footerOff is the offset
+// core.OpenStream validated (StreamReader.FooterOffset).
+func footerRegionCRC(r io.ReaderAt, footerOff, size int64) (uint32, error) {
+	buf := make([]byte, size-footerOff)
+	if _, err := r.ReadAt(buf, footerOff); err != nil {
 		return 0, fmt.Errorf("archiveserve: stream footer: %w", err)
 	}
 	return crc32.Checksum(buf, castagnoli), nil

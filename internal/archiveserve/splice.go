@@ -10,13 +10,17 @@ import (
 )
 
 // SpliceArchive derives the rate-R form of a stored v2 ZFP field archive
-// locally: every partition's embedded stream is truncated to the rate's
-// bit budget and the archive envelope is rebuilt around the prefixes.
-// This is the same computation the archive server runs for ?rate=R — a
-// served response and SpliceArchive over the stored bytes are
-// byte-identical, which is what lets a client (or the CI smoke gate)
-// verify a server without trusting it.
+// locally: every partition stored above R is truncated to the rate's bit
+// budget, one stored at or below R passes through unchanged, and the
+// archive envelope is rebuilt around the results. This is the same
+// computation the archive server runs for ?rate=R — a served response and
+// SpliceArchive over the stored bytes are byte-identical, which is what
+// lets a client (or the CI smoke gate) verify a server without trusting
+// it.
 func SpliceArchive(data []byte, rate float64) ([]byte, error) {
+	if err := (zfp.Options{Rate: rate}).Validate(); err != nil {
+		return nil, fmt.Errorf("archiveserve: %w: %v", apierr.ErrBadConfig, err)
+	}
 	cf, err := core.ParseCompressedField(data)
 	if err != nil {
 		return nil, err
@@ -37,15 +41,16 @@ func SpliceArchive(data []byte, rate float64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix, err := zfp.Reindex(c)
-		if err != nil {
-			return nil, err
+		if c.Rate > rate {
+			ix, err := zfp.Reindex(c)
+			if err != nil {
+				return nil, err
+			}
+			if c, err = ix.TruncateToRate(rate, &s); err != nil {
+				return nil, err
+			}
 		}
-		tc, err := ix.TruncateToRate(rate, &s)
-		if err != nil {
-			return nil, err
-		}
-		out.Parts = append(out.Parts, codec.WrapZFP(tc))
+		out.Parts = append(out.Parts, codec.WrapZFP(c))
 	}
 	return out.Bytes(), nil
 }

@@ -32,7 +32,6 @@ var rateRungs = []float64{0.5, 1, 2, 4, 8, 16, 32}
 // number of concurrent requests.
 type Store struct {
 	dir string
-	reg *codec.Registry
 
 	mu      sync.Mutex
 	streams map[string]*stream
@@ -44,10 +43,7 @@ type Store struct {
 
 // OpenStore opens dir as an archive store. Streams are not touched until
 // requested; an empty directory is a valid (empty) store.
-func OpenStore(dir string, reg *codec.Registry) (*Store, error) {
-	if reg == nil {
-		reg = codec.Default
-	}
+func OpenStore(dir string) (*Store, error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
 		return nil, fmt.Errorf("archiveserve: store: %w", err)
@@ -55,7 +51,7 @@ func OpenStore(dir string, reg *codec.Registry) (*Store, error) {
 	if !fi.IsDir() {
 		return nil, fmt.Errorf("archiveserve: %w: store path %q is not a directory", apierr.ErrBadConfig, dir)
 	}
-	return &Store{dir: dir, reg: reg, streams: make(map[string]*stream)}, nil
+	return &Store{dir: dir, streams: make(map[string]*stream)}, nil
 }
 
 // List names the streams currently present in the store directory.
@@ -119,7 +115,12 @@ type stream struct {
 	mu       sync.Mutex
 	layouts  [][]core.FieldLayout // per step, nil until first touched
 	manifest *Manifest
-	maxRate  map[string]float64 // ZFP fields' stored rate, from step 0
+	maxRate  map[stepField]float64 // ZFP fields' highest stored rate per step
+}
+
+type stepField struct {
+	step  int
+	field string
 }
 
 // Stream opens (or returns the already-open) named stream.
@@ -132,7 +133,7 @@ func (st *Store) Stream(name string) (*stream, error) {
 	if s, ok := st.streams[name]; ok {
 		return s, nil
 	}
-	s, rebuilt, err := openStream(filepath.Join(st.dir, name+StreamSuffix), name, st.reg)
+	s, rebuilt, err := openStream(filepath.Join(st.dir, name+StreamSuffix), name)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +144,7 @@ func (st *Store) Stream(name string) (*stream, error) {
 	return s, nil
 }
 
-func openStream(path, name string, reg *codec.Registry) (_ *stream, rebuilt bool, err error) {
+func openStream(path, name string) (_ *stream, rebuilt bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -160,18 +161,18 @@ func openStream(path, name string, reg *codec.Registry) (_ *stream, rebuilt bool
 	if err != nil {
 		return nil, false, fmt.Errorf("archiveserve: stream %q: %w", name, err)
 	}
-	sr, err := core.OpenStreamWith(f, fi.Size(), reg)
+	sr, err := core.OpenStream(f, fi.Size())
 	if err != nil {
 		return nil, false, fmt.Errorf("archiveserve: stream %q: %w", name, err)
 	}
-	crc, err := footerRegionCRC(f, fi.Size())
+	crc, err := footerRegionCRC(f, sr.FooterOffset(), fi.Size())
 	if err != nil {
 		return nil, false, fmt.Errorf("archiveserve: stream %q: %w", name, err)
 	}
 	s := &stream{
 		name: name, f: f, size: fi.Size(), sr: sr, footerCRC: crc,
 		layouts: make([][]core.FieldLayout, sr.Steps()),
-		maxRate: make(map[string]float64),
+		maxRate: make(map[stepField]float64),
 	}
 	// Load the sidecar if it binds to this exact stream; otherwise rebuild
 	// by scanning and persist the result (best effort — a read-only store
@@ -236,56 +237,9 @@ func (s *stream) readRange(off, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// fieldMaxRate returns the stored ZFP rate of a field (the rate ceiling
-// lower-rate requests truncate toward), parsed once from step 0's first
-// partition header and cached. Non-ZFP fields return 0.
-func (s *stream) fieldMaxRate(field string) (float64, error) {
-	s.mu.Lock()
-	if r, ok := s.maxRate[field]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	s.mu.Unlock()
-	fl, err := s.fieldLayout(0, field)
-	if err != nil {
-		return 0, err
-	}
-	rate := 0.0
-	if len(fl.Partitions) > 0 && fl.Partitions[0].Codec == codec.ZFP {
-		body, err := s.readRange(fl.Partitions[0].BodyOffset, fl.Partitions[0].BodyLength)
-		if err != nil {
-			return 0, err
-		}
-		c, err := zfp.Parse(body)
-		if err != nil {
-			return 0, fmt.Errorf("archiveserve: stream %q field %q: %w", s.name, field, err)
-		}
-		rate = c.Rate
-	}
-	s.mu.Lock()
-	s.maxRate[field] = rate
-	s.mu.Unlock()
-	return rate, nil
-}
-
-// splice assembles the field's v2 archive at the given (lower) rate by
-// bit-prefix splicing every partition out of the stored max-rate stream —
-// byte-identical to compressing at that rate directly, with zero
-// recompression: each partition is zfp.Parse + sidecar table +
-// TruncateToRate, and the archive envelope is rebuilt by the same
-// CompressedField.Bytes used at write time.
-func (s *stream) splice(step int, fl *core.FieldLayout, rate float64) ([]byte, error) {
-	fi := s.sc.field(step, fl.Name)
-	if fi == nil || len(fi.starts) != len(fl.Partitions) {
-		return nil, fmt.Errorf("archiveserve: %w: stream %q step %d field %q missing from sidecar", apierr.ErrCorruptArchive, s.name, step, fl.Name)
-	}
-	cf := &core.CompressedField{
-		Nx: fl.Nx, Ny: fl.Ny, Nz: fl.Nz,
-		PartitionDim: fl.PartitionDim,
-		Codec:        codec.ZFP,
-		Parts:        make([]codec.Frame, 0, len(fl.Partitions)),
-	}
-	var scratch zfp.Scratch
+// zfpParts reads and parses every partition stream of a ZFP field.
+func (s *stream) zfpParts(fl *core.FieldLayout) ([]*zfp.Compressed, error) {
+	cs := make([]*zfp.Compressed, 0, len(fl.Partitions))
 	for p, pl := range fl.Partitions {
 		if pl.Codec != codec.ZFP {
 			return nil, fmt.Errorf("archiveserve: %w: field %q partition %d is %q, rate slicing is a zfp property", apierr.ErrBadConfig, fl.Name, p, pl.Codec)
@@ -298,15 +252,73 @@ func (s *stream) splice(step int, fl *core.FieldLayout, rate float64) ([]byte, e
 		if err != nil {
 			return nil, fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, p, err)
 		}
-		ix, err := zfp.NewIndexed(c, fi.starts[p])
+		cs = append(cs, c)
+	}
+	return cs, nil
+}
+
+// fieldMaxRate returns the highest stored ZFP rate over one step's
+// partitions of a field — the ceiling at and above which a request is
+// served the stored bytes — parsed once per step and field and cached.
+// Non-ZFP fields return 0.
+func (s *stream) fieldMaxRate(step int, fl *core.FieldLayout) (float64, error) {
+	key := stepField{step, fl.Name}
+	s.mu.Lock()
+	if r, ok := s.maxRate[key]; ok {
+		s.mu.Unlock()
+		return r, nil
+	}
+	s.mu.Unlock()
+	rate := 0.0
+	if fl.Partitions[0].Codec == codec.ZFP {
+		cs, err := s.zfpParts(fl)
 		if err != nil {
-			return nil, fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, p, err)
+			return 0, err
 		}
-		tc, err := ix.TruncateToRate(rate, &scratch)
-		if err != nil {
-			return nil, err
+		for _, c := range cs {
+			rate = max(rate, c.Rate)
 		}
-		cf.Parts = append(cf.Parts, codec.WrapZFP(tc))
+	}
+	s.mu.Lock()
+	s.maxRate[key] = rate
+	s.mu.Unlock()
+	return rate, nil
+}
+
+// splice assembles the field's v2 archive at the given rate by bit-prefix
+// splicing out of the stored streams — byte-identical to compressing at
+// that rate directly, with zero recompression. Each partition is served
+// at min(rate, its stored rate): one stored above the rate is truncated
+// with its sidecar table (zfp.Parse + NewIndexed + TruncateToRate), one
+// stored at or below it passes through unchanged. The archive envelope is
+// rebuilt by the same CompressedField.Bytes used at write time.
+func (s *stream) splice(step int, fl *core.FieldLayout, rate float64) ([]byte, error) {
+	fi := s.sc.field(step, fl.Name)
+	if fi == nil || len(fi.starts) != len(fl.Partitions) {
+		return nil, fmt.Errorf("archiveserve: %w: stream %q step %d field %q missing from sidecar", apierr.ErrCorruptArchive, s.name, step, fl.Name)
+	}
+	cs, err := s.zfpParts(fl)
+	if err != nil {
+		return nil, err
+	}
+	cf := &core.CompressedField{
+		Nx: fl.Nx, Ny: fl.Ny, Nz: fl.Nz,
+		PartitionDim: fl.PartitionDim,
+		Codec:        codec.ZFP,
+		Parts:        make([]codec.Frame, 0, len(cs)),
+	}
+	var scratch zfp.Scratch
+	for p, c := range cs {
+		if c.Rate > rate {
+			ix, err := zfp.NewIndexed(c, fi.starts[p])
+			if err != nil {
+				return nil, fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, p, err)
+			}
+			if c, err = ix.TruncateToRate(rate, &scratch); err != nil {
+				return nil, err
+			}
+		}
+		cf.Parts = append(cf.Parts, codec.WrapZFP(c))
 	}
 	return cf.Bytes(), nil
 }
@@ -392,9 +404,11 @@ func (s *stream) Manifest() (*Manifest, error) {
 	return m, nil
 }
 
-// fillRungs computes the exact archive size at each standard rate rung:
-// the stored envelope overhead (header + per-partition length prefixes +
-// frame envelopes) plus PredictSize of every partition at the rung.
+// fillRungs computes the exact archive size at each standard rate rung
+// below the field's highest stored rate: the stored envelope overhead
+// (header + per-partition length prefixes + frame envelopes) plus each
+// partition's size at min(rung, its stored rate) — PredictSize when the
+// rung truncates it, its stored size when it passes through.
 func (s *stream) fillRungs(fl *core.FieldLayout, fm *FieldManifest) error {
 	fi := s.sc.field(0, fl.Name)
 	if fi == nil || len(fi.starts) != len(fl.Partitions) {
@@ -407,36 +421,30 @@ func (s *stream) fillRungs(fl *core.FieldLayout, fm *FieldManifest) error {
 	for _, pl := range fl.Partitions {
 		overhead -= 4 + int64(codec.FrameOverhead(pl.Codec)) + pl.BodyLength
 	}
-	var ixs []*zfp.Indexed
-	for p, pl := range fl.Partitions {
-		body, err := s.readRange(pl.BodyOffset, pl.BodyLength)
-		if err != nil {
-			return err
-		}
-		c, err := zfp.Parse(body)
-		if err != nil {
+	cs, err := s.zfpParts(fl)
+	if err != nil {
+		return err
+	}
+	ixs := make([]*zfp.Indexed, len(cs))
+	for p, c := range cs {
+		fm.MaxRate = max(fm.MaxRate, c.Rate)
+		if ixs[p], err = zfp.NewIndexed(c, fi.starts[p]); err != nil {
 			return fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, p, err)
 		}
-		if fm.MaxRate == 0 {
-			fm.MaxRate = c.Rate
-		}
-		ix, err := zfp.NewIndexed(c, fi.starts[p])
-		if err != nil {
-			return fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, p, err)
-		}
-		ixs = append(ixs, ix)
 	}
 	for _, rung := range rateRungs {
 		if rung >= fm.MaxRate {
-			// The stored rate itself is not a rung: a request at or above
-			// it serves the stored bytes, whose size is StoredBytes.
+			// The highest stored rate itself is not a rung: a request at or
+			// above it serves the stored bytes, whose size is StoredBytes.
 			break
 		}
 		total := overhead
-		for _, ix := range ixs {
-			n, err := ix.PredictSize(rung)
-			if err != nil {
-				return err
+		for p, ix := range ixs {
+			n := int(fl.Partitions[p].BodyLength)
+			if ix.C.Rate > rung {
+				if n, err = ix.PredictSize(rung); err != nil {
+					return err
+				}
 			}
 			total += 4 + int64(codec.FrameOverhead(codec.ZFP)) + int64(n)
 		}

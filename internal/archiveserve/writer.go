@@ -191,7 +191,12 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return fmt.Errorf("archiveserve: writer: %w", err)
 	}
-	crc, err := footerRegionCRC(w.f, fi.Size())
+	sr, err := core.OpenStream(w.f, fi.Size())
+	if err != nil {
+		w.f.Close()
+		return err
+	}
+	crc, err := footerRegionCRC(w.f, sr.FooterOffset(), fi.Size())
 	if err != nil {
 		w.f.Close()
 		return err

@@ -8,10 +8,11 @@ import (
 )
 
 // Registry maps codec IDs to backends. The zero value is not usable; build
-// one with NewRegistry. Most callers use the package-level Default registry,
-// which ships with the sz and zfp adapters pre-registered; a private
-// registry is useful for tests and for embedding the engine with a custom
-// backend set.
+// one with NewRegistry. The engine, the archive readers and the servers all
+// resolve codecs from the package-level Default registry, which ships with
+// the sz and zfp adapters pre-registered; add a backend there with
+// Register. A private registry is a test seam for the registry's own
+// behaviour, not an engine or archive option.
 type Registry struct {
 	mu     sync.RWMutex
 	codecs map[ID]Codec

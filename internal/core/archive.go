@@ -72,55 +72,25 @@ func (cf *CompressedField) Bytes() []byte {
 	return out
 }
 
-// ParseCompressedField reverses Bytes, resolving each partition's codec
-// from its frame header and validating every stream.
+// ParseCompressedField reverses Bytes: fieldLayout walks and validates the
+// structure, then each partition's codec resolves from its frame header
+// and parses its codec-native stream.
 func ParseCompressedField(data []byte) (*CompressedField, error) {
-	return ParseCompressedFieldWith(data, codec.Default)
-}
-
-// ParseCompressedFieldWith is ParseCompressedField against a specific
-// codec registry.
-func ParseCompressedFieldWith(data []byte, reg *codec.Registry) (*CompressedField, error) {
-	if len(data) < archiveHeader {
-		return nil, fmt.Errorf("core: %w: archive shorter than header", errCorrupt)
-	}
-	if string(data[0:4]) != archiveMagic {
-		return nil, fmt.Errorf("core: %w: bad archive magic %q", errCorrupt, data[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != archiveVersion {
-		return nil, fmt.Errorf("core: %w: unsupported archive version %d", errCorrupt, v)
+	fl, err := fieldLayout(data, 0)
+	if err != nil {
+		return nil, err
 	}
 	cf := &CompressedField{
-		Nx:           int(binary.LittleEndian.Uint32(data[8:12])),
-		Ny:           int(binary.LittleEndian.Uint32(data[12:16])),
-		Nz:           int(binary.LittleEndian.Uint32(data[16:20])),
-		PartitionDim: int(binary.LittleEndian.Uint32(data[20:24])),
+		Nx: fl.Nx, Ny: fl.Ny, Nz: fl.Nz,
+		PartitionDim: fl.PartitionDim,
+		Parts:        make([]codec.Frame, 0, len(fl.Partitions)),
 	}
-	count := int(binary.LittleEndian.Uint32(data[24:28]))
-	// A partition costs at least its 4-byte length prefix, so a count beyond
-	// the remaining bytes/4 is corrupt; rejecting it here also keeps the
-	// Parts pre-allocation honest on malicious headers.
-	// maxArchiveDim bounds each axis so Nx·Ny·Nz cannot overflow int and a
-	// hostile header cannot make Decompress allocate an absurd field.
-	const maxArchiveDim = 1 << 20
-	if cf.Nx <= 0 || cf.Ny <= 0 || cf.Nz <= 0 || cf.PartitionDim <= 0 || count <= 0 ||
-		cf.Nx > maxArchiveDim || cf.Ny > maxArchiveDim || cf.Nz > maxArchiveDim ||
-		count > (len(data)-archiveHeader)/4 {
-		return nil, fmt.Errorf("core: %w: invalid archive header (%d×%d×%d / dim %d / %d parts)",
-			errCorrupt, cf.Nx, cf.Ny, cf.Nz, cf.PartitionDim, count)
-	}
-	pos := archiveHeader
-	cf.Parts = make([]codec.Frame, 0, count)
-	for i := 0; i < count; i++ {
-		if pos+4 > len(data) {
-			return nil, fmt.Errorf("core: %w: archive truncated at partition %d", errCorrupt, i)
+	for i, pl := range fl.Partitions {
+		c, err := codec.Lookup(pl.Codec)
+		var p codec.Frame
+		if err == nil {
+			p, err = c.Parse(data[pl.BodyOffset : pl.BodyOffset+pl.BodyLength])
 		}
-		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		pos += 4
-		if pos+n > len(data) {
-			return nil, fmt.Errorf("core: %w: partition %d stream truncated", errCorrupt, i)
-		}
-		p, err := reg.DecodeFrame(data[pos : pos+n])
 		if err != nil {
 			// Both the taxonomy sentinel and the codec-level cause are
 			// wrapped, so errors.Is sees ErrCorruptArchive here and (for a
@@ -128,10 +98,6 @@ func ParseCompressedFieldWith(data []byte, reg *codec.Registry) (*CompressedFiel
 			return nil, fmt.Errorf("core: partition %d: %w: %w", i, errCorrupt, err)
 		}
 		cf.Parts = append(cf.Parts, p)
-		pos += n
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("core: %w: %d trailing bytes in archive", errCorrupt, len(data)-pos)
 	}
 	cf.Codec = cf.Parts[0].CodecID()
 	return cf, nil
@@ -468,41 +434,42 @@ func (sw *StreamWriter) Close() error {
 
 // StreamReader reads an archive v3 stream with O(1) access to any step.
 //
-// A StreamReader is safe for concurrent use by multiple goroutines: all
-// of its state (the step index, the registry) is immutable after
-// OpenStream, every read method works on its own buffer, and positions
-// are always passed explicitly to the underlying io.ReaderAt — there is
-// no shared cursor. The only requirement is that the ReaderAt itself
-// honors io.ReaderAt's contract of supporting parallel ReadAt calls,
-// which *os.File, *bytes.Reader, and *io.SectionReader all do. One open
-// stream can therefore serve many readers at once — the fan-out an
-// archive server needs.
+// A StreamReader is safe for concurrent use by multiple goroutines: its
+// step index is immutable after OpenStream, every read method works on
+// its own buffer, and positions are always passed explicitly to the
+// underlying io.ReaderAt — there is no shared cursor. The only
+// requirement is that the ReaderAt itself honors io.ReaderAt's contract
+// of supporting parallel ReadAt calls, which *os.File, *bytes.Reader, and
+// *io.SectionReader all do. One open stream can therefore serve many
+// readers at once — the fan-out an archive server needs.
 type StreamReader struct {
 	r     io.ReaderAt
 	index []streamIndexEntry
-	reg   *codec.Registry
+}
+
+// checkStreamHeader validates the v3 stream header at offset 0.
+func checkStreamHeader(r io.ReaderAt) error {
+	var hdr [streamHeaderBytes]byte
+	if _, err := r.ReadAt(hdr[:], 0); err != nil {
+		return readAtErr("stream header", err)
+	}
+	if string(hdr[0:4]) != streamMagic {
+		return fmt.Errorf("core: %w: bad stream magic %q", errCorrupt, hdr[0:4])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != streamVersion {
+		return fmt.Errorf("core: %w: unsupported stream version %d", errCorrupt, v)
+	}
+	return nil
 }
 
 // OpenStream validates the header and footer of a v3 stream and loads its
 // step index. size is the total byte length of the stream.
 func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
-	return OpenStreamWith(r, size, codec.Default)
-}
-
-// OpenStreamWith is OpenStream against a specific codec registry.
-func OpenStreamWith(r io.ReaderAt, size int64, reg *codec.Registry) (*StreamReader, error) {
 	if size < streamHeaderBytes+streamTrailerBytes {
 		return nil, fmt.Errorf("core: %w: stream shorter than header+footer", errCorrupt)
 	}
-	var hdr [streamHeaderBytes]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, readAtErr("stream header", err)
-	}
-	if string(hdr[0:4]) != streamMagic {
-		return nil, fmt.Errorf("core: %w: bad stream magic %q", errCorrupt, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != streamVersion {
-		return nil, fmt.Errorf("core: %w: unsupported stream version %d", errCorrupt, v)
+	if err := checkStreamHeader(r); err != nil {
+		return nil, err
 	}
 	var trailer [streamTrailerBytes]byte
 	if _, err := r.ReadAt(trailer[:], size-streamTrailerBytes); err != nil {
@@ -541,15 +508,27 @@ func OpenStreamWith(r io.ReaderAt, size int64, reg *codec.Registry) (*StreamRead
 	if end != indexOff {
 		return nil, fmt.Errorf("core: %w: stream steps end at %d, index starts at %d", errCorrupt, end, indexOff)
 	}
-	return &StreamReader{r: r, index: index, reg: reg}, nil
+	return &StreamReader{r: r, index: index}, nil
 }
 
 // Steps returns the number of steps in the stream.
 func (sr *StreamReader) Steps() int { return len(sr.index) }
 
-// ReadStep decodes step i's fields. Only the step's own byte range is read:
-// access cost is independent of the step's position in the stream.
-func (sr *StreamReader) ReadStep(i int) (map[string]*CompressedField, error) {
+// FooterOffset is where the step blocks end. For a stream OpenStream
+// accepted, that is the validated footer index offset: the footer region
+// [FooterOffset, size) covers every step's offset and length, so any
+// append, truncation or rewrite of the stream changes its bytes. For a
+// RecoverStream salvage it is where WriteTo places the rebuilt footer.
+func (sr *StreamReader) FooterOffset() int64 {
+	if len(sr.index) == 0 {
+		return streamHeaderBytes
+	}
+	last := sr.index[len(sr.index)-1]
+	return int64(last.Offset + last.Length)
+}
+
+// readStepBlock reads step i's raw block bytes.
+func (sr *StreamReader) readStepBlock(i int) ([]byte, error) {
 	if i < 0 || i >= len(sr.index) {
 		return nil, fmt.Errorf("core: step %d out of range [0,%d)", i, len(sr.index))
 	}
@@ -558,19 +537,17 @@ func (sr *StreamReader) ReadStep(i int) (map[string]*CompressedField, error) {
 	if _, err := sr.r.ReadAt(buf, int64(e.Offset)); err != nil {
 		return nil, readAtErr(fmt.Sprintf("stream step %d", i), err)
 	}
-	return parseStepBlock(buf, i, sr.reg)
+	return buf, nil
 }
 
-// StepSection returns a zero-copy io.SectionReader over step i's raw
-// block bytes — the concurrent-reader seek primitive: each caller gets
-// its own section (own cursor) over the shared ReaderAt, so goroutines
-// can stream different steps from one open stream without coordination.
-func (sr *StreamReader) StepSection(i int) (*io.SectionReader, error) {
-	if i < 0 || i >= len(sr.index) {
-		return nil, fmt.Errorf("core: step %d out of range [0,%d)", i, len(sr.index))
+// ReadStep decodes step i's fields. Only the step's own byte range is read:
+// access cost is independent of the step's position in the stream.
+func (sr *StreamReader) ReadStep(i int) (map[string]*CompressedField, error) {
+	buf, err := sr.readStepBlock(i)
+	if err != nil {
+		return nil, err
 	}
-	e := sr.index[i]
-	return io.NewSectionReader(sr.r, int64(e.Offset), int64(e.Length)), nil
+	return parseStepBlock(buf, i)
 }
 
 // PartitionLayout locates one partition's codec-native stream inside the
@@ -603,64 +580,31 @@ type FieldLayout struct {
 // truncation, envelope headers); the codec-native payloads themselves are
 // not parsed — their own magic/CRC checks run when the bytes are used.
 func (sr *StreamReader) StepLayout(i int) ([]FieldLayout, error) {
-	if i < 0 || i >= len(sr.index) {
-		return nil, fmt.Errorf("core: step %d out of range [0,%d)", i, len(sr.index))
+	buf, err := sr.readStepBlock(i)
+	if err != nil {
+		return nil, err
 	}
-	e := sr.index[i]
-	buf := make([]byte, e.Length)
-	if _, err := sr.r.ReadAt(buf, int64(e.Offset)); err != nil {
-		return nil, readAtErr(fmt.Sprintf("stream step %d", i), err)
-	}
-	base := int64(e.Offset)
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("core: %w: step %d block shorter than field count", errCorrupt, i)
-	}
-	count := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if count <= 0 || count > len(buf)/7+1 {
-		return nil, fmt.Errorf("core: %w: step %d has field count %d", errCorrupt, i, count)
-	}
-	pos := 4
-	layouts := make([]FieldLayout, 0, count)
-	prevName := ""
-	for j := 0; j < count; j++ {
-		if pos+2 > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d truncated at field %d name length", errCorrupt, i, j)
-		}
-		nameLen := int(binary.LittleEndian.Uint16(buf[pos : pos+2]))
-		pos += 2
-		if nameLen == 0 || pos+nameLen > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d truncated inside field %d name", errCorrupt, i, j)
-		}
-		name := string(buf[pos : pos+nameLen])
-		pos += nameLen
-		if name <= prevName {
-			return nil, fmt.Errorf("core: %w: step %d field %q out of sorted order", errCorrupt, i, name)
-		}
-		prevName = name
-		if pos+4 > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d truncated at field %q payload length", errCorrupt, i, name)
-		}
-		n := int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
-		pos += 4
-		if n < 0 || pos+n > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d field %q payload truncated", errCorrupt, i, name)
-		}
-		fl, err := fieldLayout(buf[pos:pos+n], base+int64(pos))
+	base := int64(sr.index[i].Offset)
+	var layouts []FieldLayout
+	err = walkStepBlock(buf, i, func(name string, off int, payload []byte) error {
+		fl, err := fieldLayout(payload, base+int64(off))
 		if err != nil {
-			return nil, fmt.Errorf("core: step %d field %q: %w", i, name, err)
+			return err
 		}
 		fl.Name = name
 		layouts = append(layouts, fl)
-		pos += n
-	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("core: %w: step %d has %d trailing bytes", errCorrupt, i, len(buf)-pos)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return layouts, nil
 }
 
-// fieldLayout walks one v2 archive's structure. base is the archive's
-// absolute offset in the stream file; data is its complete byte range.
+// fieldLayout walks one v2 archive's structure: the only decoder of the
+// v2 header and partition envelopes. base is the archive's absolute
+// offset in the stream file (0 for a standalone archive); data is its
+// complete byte range.
 func fieldLayout(data []byte, base int64) (FieldLayout, error) {
 	var fl FieldLayout
 	if len(data) < archiveHeader {
@@ -677,6 +621,11 @@ func fieldLayout(data []byte, base int64) (FieldLayout, error) {
 	fl.Nz = int(binary.LittleEndian.Uint32(data[16:20]))
 	fl.PartitionDim = int(binary.LittleEndian.Uint32(data[20:24]))
 	count := int(binary.LittleEndian.Uint32(data[24:28]))
+	// A partition costs at least its 4-byte length prefix, so a count beyond
+	// the remaining bytes/4 is corrupt; rejecting it here also keeps the
+	// Partitions pre-allocation honest on malicious headers.
+	// maxArchiveDim bounds each axis so Nx·Ny·Nz cannot overflow int and a
+	// hostile header cannot make Decompress allocate an absurd field.
 	const maxArchiveDim = 1 << 20
 	if fl.Nx <= 0 || fl.Ny <= 0 || fl.Nz <= 0 || fl.PartitionDim <= 0 || count <= 0 ||
 		fl.Nx > maxArchiveDim || fl.Ny > maxArchiveDim || fl.Nz > maxArchiveDim ||
@@ -712,64 +661,86 @@ func fieldLayout(data []byte, base int64) (FieldLayout, error) {
 	return fl, nil
 }
 
-func parseStepBlock(buf []byte, step int, reg *codec.Registry) (map[string]*CompressedField, error) {
+// minStepFieldBytes is the least a step-block field entry can occupy:
+// name length, one name byte, payload length. A field count beyond the
+// block's bytes divided by it cannot be honest.
+const minStepFieldBytes = 2 + 1 + 4
+
+// walkStepBlock validates one v3 step block and calls fn for each field
+// entry in order with its name, the payload's offset within buf, and the
+// payload (a v2 archive). It is the only decoder of step-block field
+// entries; an fn error stops the walk and is returned with the step and
+// field position added.
+func walkStepBlock(buf []byte, step int, fn func(name string, off int, payload []byte) error) error {
 	if len(buf) < 4 {
-		return nil, fmt.Errorf("core: %w: step %d block shorter than field count", errCorrupt, step)
+		return fmt.Errorf("core: %w: step %d block shorter than field count", errCorrupt, step)
 	}
 	count := int(binary.LittleEndian.Uint32(buf[0:4]))
-	// Each field needs at least a name length, one name byte, and a payload
-	// length, so a count beyond len(buf)/7 cannot be honest.
-	if count <= 0 || count > len(buf)/7+1 {
-		return nil, fmt.Errorf("core: %w: step %d has field count %d", errCorrupt, step, count)
+	if count <= 0 || count > len(buf)/minStepFieldBytes+1 {
+		return fmt.Errorf("core: %w: step %d has field count %d", errCorrupt, step, count)
 	}
 	pos := 4
-	fields := make(map[string]*CompressedField, count)
 	prevName := ""
 	for j := 0; j < count; j++ {
 		if pos+2 > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d truncated at field %d name length", errCorrupt, step, j)
+			return fmt.Errorf("core: %w: step %d truncated at field %d name length", errCorrupt, step, j)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(buf[pos : pos+2]))
 		pos += 2
 		if nameLen == 0 || pos+nameLen > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d truncated inside field %d name", errCorrupt, step, j)
+			return fmt.Errorf("core: %w: step %d truncated inside field %d name", errCorrupt, step, j)
 		}
 		name := string(buf[pos : pos+nameLen])
 		pos += nameLen
 		// The writer emits strictly increasing (sorted, unique) names, so a
 		// block violating that order is hostile: a repeated name would
-		// otherwise collapse silently into the map, and an unsorted block
+		// otherwise collapse silently into a map, and an unsorted block
 		// would re-serialize differently than it parsed. Order is checked
 		// against the previous name, which also catches every duplicate —
 		// equal names are adjacent in sorted order, and a non-adjacent
 		// repeat necessarily breaks the ordering first.
 		if name <= prevName {
 			if name == prevName {
-				return nil, fmt.Errorf("core: %w: step %d has duplicate field %q", errCorrupt, step, name)
+				return fmt.Errorf("core: %w: step %d has duplicate field %q", errCorrupt, step, name)
 			}
-			return nil, fmt.Errorf("core: %w: step %d field %q out of sorted order (follows %q)",
+			return fmt.Errorf("core: %w: step %d field %q out of sorted order (follows %q)",
 				errCorrupt, step, name, prevName)
 		}
 		prevName = name
 		if pos+4 > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d truncated at field %q payload length", errCorrupt, step, name)
+			return fmt.Errorf("core: %w: step %d truncated at field %q payload length", errCorrupt, step, name)
 		}
 		n := int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
 		pos += 4
 		if n < 0 || pos+n > len(buf) {
-			return nil, fmt.Errorf("core: %w: step %d field %q payload truncated", errCorrupt, step, name)
+			return fmt.Errorf("core: %w: step %d field %q payload truncated", errCorrupt, step, name)
 		}
-		cf, err := ParseCompressedFieldWith(buf[pos:pos+n], reg)
-		if err != nil {
-			// The nested v2 parse already tagged ErrCorruptArchive; keep
-			// its chain intact and add the step/field position.
-			return nil, fmt.Errorf("core: step %d field %q: %w", step, name, err)
+		if err := fn(name, pos, buf[pos:pos+n]); err != nil {
+			// The nested v2 walk already tagged ErrCorruptArchive; keep its
+			// chain intact and add the step/field position.
+			return fmt.Errorf("core: step %d field %q: %w", step, name, err)
 		}
-		fields[name] = cf
 		pos += n
 	}
 	if pos != len(buf) {
-		return nil, fmt.Errorf("core: %w: step %d has %d trailing bytes", errCorrupt, step, len(buf)-pos)
+		return fmt.Errorf("core: %w: step %d has %d trailing bytes", errCorrupt, step, len(buf)-pos)
+	}
+	return nil
+}
+
+// parseStepBlock decodes every field of one step block.
+func parseStepBlock(buf []byte, step int) (map[string]*CompressedField, error) {
+	fields := make(map[string]*CompressedField)
+	err := walkStepBlock(buf, step, func(name string, _ int, payload []byte) error {
+		cf, err := ParseCompressedField(payload)
+		if err != nil {
+			return err
+		}
+		fields[name] = cf
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return fields, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func streamFuzzSeeds(tb testing.TB) [][]byte {
 // step block's field names violate the writer's sorted-unique invariant —
 // an out-of-sorted-order first name, and (when the first two names have
 // equal length) a duplicated name — with the index, footer, and payloads
-// untouched, so only parseStepBlock's name validation can reject them.
+// untouched, so only walkStepBlock's name validation can reject them.
 // Returns nil when the first step has fewer than two fields.
 func mutateStepNames(data []byte) [][]byte {
 	pos := streamHeaderBytes
@@ -195,13 +196,16 @@ func FuzzRecoverStream(f *testing.F) {
 			t.Fatalf("report says %d steps, reader has %d", rep.Steps, sr.Steps())
 		}
 		for i := 0; i < sr.Steps(); i++ {
-			_, err := sr.ReadStep(i)
+			fields, err := sr.ReadStep(i)
 			// A scan-salvaged step was validated block by block and must
 			// re-read. The Clean path trusts an intact footer (the crash
 			// model: torn tails, not bit rot mid-stream), so its steps may
 			// still fail content validation — but never panic.
 			if err != nil && !rep.Clean {
 				t.Fatalf("scan-salvaged step %d does not re-read: %v", i, err)
+			}
+			if err == nil {
+				checkLayoutAgrees(t, sr, data, i, fields)
 			}
 		}
 		var repaired bytes.Buffer
@@ -231,6 +235,7 @@ func FuzzOpenStream(f *testing.F) {
 		// either decode or error cleanly.
 		for i := 0; i < sr.Steps(); i++ {
 			if fields, err := sr.ReadStep(i); err == nil {
+				checkLayoutAgrees(t, sr, data, i, fields)
 				for _, cf := range fields {
 					if cf.N() <= 1<<18 {
 						_, _ = cf.Decompress(context.Background())
@@ -239,6 +244,47 @@ func FuzzOpenStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkLayoutAgrees holds the structural view to the parse view for a
+// step ReadStep accepted: StepLayout must accept it too, list the same
+// fields in sorted order, and locate byte ranges that parse to the same
+// geometry, partition count and per-partition codecs.
+func checkLayoutAgrees(t *testing.T, sr *StreamReader, data []byte, step int, fields map[string]*CompressedField) {
+	t.Helper()
+	layouts, err := sr.StepLayout(step)
+	if err != nil {
+		t.Fatalf("step %d: ReadStep accepted, StepLayout rejected: %v", step, err)
+	}
+	names := make([]string, 0, len(fields))
+	for name := range fields {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if len(layouts) != len(names) {
+		t.Fatalf("step %d: layout has %d fields, ReadStep %d", step, len(layouts), len(names))
+	}
+	for j, fl := range layouts {
+		if fl.Name != names[j] {
+			t.Fatalf("step %d: layout field %d is %q, want %q", step, j, fl.Name, names[j])
+		}
+		cf, err := ParseCompressedField(data[fl.ArchiveOffset : fl.ArchiveOffset+fl.ArchiveLength])
+		if err != nil {
+			t.Fatalf("step %d field %q: layout range does not parse: %v", step, fl.Name, err)
+		}
+		want := fields[fl.Name]
+		if cf.Nx != want.Nx || cf.Ny != want.Ny || cf.Nz != want.Nz || cf.PartitionDim != want.PartitionDim ||
+			fl.Nx != want.Nx || fl.Ny != want.Ny || fl.Nz != want.Nz || fl.PartitionDim != want.PartitionDim ||
+			len(cf.Parts) != len(want.Parts) || len(fl.Partitions) != len(want.Parts) {
+			t.Fatalf("step %d field %q: layout range parses to a different field", step, fl.Name)
+		}
+		for p, pl := range fl.Partitions {
+			if cf.Parts[p].CodecID() != pl.Codec {
+				t.Fatalf("step %d field %q partition %d: codec %q, layout says %q",
+					step, fl.Name, p, cf.Parts[p].CodecID(), pl.Codec)
+			}
+		}
+	}
 }
 
 // TestWriteArchiveFuzzCorpus materializes the seed corpora as checked-in

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"repro/internal/codec"
 )
 
 // Crash recovery for archive v3 streams.
@@ -47,29 +45,17 @@ type RecoveryReport struct {
 // v3 stream's. A valid header with zero complete steps returns an empty
 // reader, not an error.
 func RecoverStream(r io.ReaderAt, size int64) (*StreamReader, *RecoveryReport, error) {
-	return RecoverStreamWith(r, size, codec.Default)
-}
-
-// RecoverStreamWith is RecoverStream against a specific codec registry.
-func RecoverStreamWith(r io.ReaderAt, size int64, reg *codec.Registry) (*StreamReader, *RecoveryReport, error) {
 	// Fast path: the footer survived (clean close, or a crash that landed
 	// between a checkpoint and the next step). Trust it — it validates the
 	// full index tiling.
-	if sr, err := OpenStreamWith(r, size, reg); err == nil {
+	if sr, err := OpenStream(r, size); err == nil {
 		return sr, &RecoveryReport{Steps: sr.Steps(), Clean: true}, nil
 	}
 	if size < streamHeaderBytes {
 		return nil, nil, fmt.Errorf("core: %w: %d bytes is shorter than a stream header, nothing to recover", errCorrupt, size)
 	}
-	var hdr [streamHeaderBytes]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, nil, readAtErr("recover: stream header", err)
-	}
-	if string(hdr[0:4]) != streamMagic {
-		return nil, nil, fmt.Errorf("core: %w: bad stream magic %q, not a v3 stream", errCorrupt, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != streamVersion {
-		return nil, nil, fmt.Errorf("core: %w: unsupported stream version %d", errCorrupt, v)
+	if err := checkStreamHeader(r); err != nil {
+		return nil, nil, err
 	}
 
 	var index []streamIndexEntry
@@ -87,13 +73,13 @@ func RecoverStreamWith(r io.ReaderAt, size int64, reg *codec.Registry) (*StreamR
 		// nested v2 archives, codec frames. A block that delimits but does
 		// not validate is corruption, and nothing after it can be trusted
 		// (its length derivation may itself be part of the damage).
-		if _, err := parseStepBlock(buf, len(index), reg); err != nil {
+		if _, err := parseStepBlock(buf, len(index)); err != nil {
 			break
 		}
 		index = append(index, streamIndexEntry{Offset: uint64(pos), Length: uint64(length)})
 		pos += length
 	}
-	return &StreamReader{r: r, index: index, reg: reg},
+	return &StreamReader{r: r, index: index},
 		&RecoveryReport{Steps: len(index), TornBytes: size - pos}, nil
 }
 
@@ -126,9 +112,8 @@ func delimitStepBlock(r io.ReaderAt, pos, size int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Same honesty bound parseStepBlock enforces: each field costs at least
-	// 7 bytes (name length + one name byte + payload length).
-	if count == 0 || int64(count) > (size-pos)/7+1 {
+	// Same honesty bound walkStepBlock enforces.
+	if count == 0 || int64(count) > (size-pos)/minStepFieldBytes+1 {
 		return 0, fmt.Errorf("core: implausible field count %d", count)
 	}
 	end := pos + 4

@@ -110,18 +110,13 @@ type MergeReport struct {
 // completeness check — but then a missing partition surfaces only at
 // decompression).
 func MergeShards(w io.Writer, shards []ShardInput, nParts int) (*MergeReport, error) {
-	return MergeShardsWith(w, shards, nParts, codec.Default)
-}
-
-// MergeShardsWith is MergeShards against a specific codec registry.
-func MergeShardsWith(w io.Writer, shards []ShardInput, nParts int, reg *codec.Registry) (*MergeReport, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: %w: no shards to merge", apierr.ErrBadConfig)
 	}
 	rep := &MergeReport{}
 	readers := make([]*StreamReader, 0, len(shards))
 	for i, sh := range shards {
-		sr, rrep, err := RecoverStreamWith(sh.R, sh.Size, reg)
+		sr, rrep, err := RecoverStream(sh.R, sh.Size)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/apierr"
-	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/nyx"
 )
@@ -386,7 +385,7 @@ func TestStreamWriteStepErrorIsSticky(t *testing.T) {
 
 // hostileStepStream writes a valid two-field stream, then rewrites the two
 // (equal-length) field names inside the step block in place — the index,
-// footer, and payloads stay untouched, so only parseStepBlock's name
+// footer, and payloads stay untouched, so only walkStepBlock's name
 // validation can catch the tampering.
 func hostileStepStream(t *testing.T, e *Engine, name1, name2 string) []byte {
 	t.Helper()
@@ -451,6 +450,10 @@ func TestStreamRejectsHostileStepNames(t *testing.T) {
 			if !errors.Is(err, apierr.ErrCorruptArchive) {
 				t.Fatalf("hostile step names not classified as corruption: %v", err)
 			}
+			// The structural view walks the same block the same way.
+			if _, lerr := sr.StepLayout(0); lerr == nil || lerr.Error() != err.Error() {
+				t.Fatalf("StepLayout error %v, ReadStep error %v", lerr, err)
+			}
 		})
 	}
 
@@ -471,7 +474,7 @@ func TestStreamRejectsHostileStepNames(t *testing.T) {
 
 // TestStreamReaderConcurrentReaders is the concurrent-reader contract
 // under the race detector: 16 goroutines seek different steps of one open
-// stream at once — through ReadStep, StepSection, and StepLayout — and
+// stream at once — through ReadStep and StepLayout — and
 // every read must match the single-reader golden. StreamReader keeps no
 // cursor, so no synchronization beyond the shared *bytes.Reader's own
 // ReadAt is involved.
@@ -533,23 +536,16 @@ func TestStreamReaderConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				sec, err := sr.StepSection(step)
+				layouts, err := sr.StepLayout(step)
 				if err != nil {
 					errs <- err
 					return
 				}
-				blk, err := io.ReadAll(sec)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if _, err := parseStepBlock(blk, step, codec.Default); err != nil {
-					errs <- fmt.Errorf("reader %d: section of step %d does not parse: %w", g, step, err)
-					return
-				}
-				if _, err := sr.StepLayout(step); err != nil {
-					errs <- err
-					return
+				for _, fl := range layouts {
+					if fl.ArchiveLength != int64(len(golden[step][fl.Name])) {
+						errs <- fmt.Errorf("reader %d: step %d field %q layout length diverges", g, step, fl.Name)
+						return
+					}
 				}
 			}
 		}(g)
@@ -619,7 +615,7 @@ func TestStepLayoutLocatesBytes(t *testing.T) {
 	if _, err := sr.StepLayout(1); err == nil {
 		t.Fatal("out-of-range step accepted")
 	}
-	if _, err := sr.StepSection(-1); err == nil {
+	if _, err := sr.StepLayout(-1); err == nil {
 		t.Fatal("negative step accepted")
 	}
 }
